@@ -14,6 +14,8 @@ rebuilt:
 * cache-path throughput -- windowed-LFU membership decisions and the
   index server's full request/fill path, both on the policy engine
   (PR 2), compared against the recorded PR-1 classic-path baseline;
+* segment placement -- seeded place/remove churn on one 1,000-peer
+  placement map at 10 GB per peer (a trend line, not a gain claim);
 * end-to-end replay -- one full system run on each engine path (heap,
   bucket, and -- when numpy is importable -- columnar), with drain
   throughput reported as events/s per engine;
@@ -43,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import sys
 import time
 from pathlib import Path
@@ -323,6 +326,42 @@ def cache_index_requests(n_requests: int, n_users: int = 50,
                                units.SEGMENT_SECONDS)
 
 
+def placement_churn(n_ops: int, n_peers: int = 1_000,
+                    storage_bytes: float = 10e9, seed: int = 2007) -> int:
+    """Seeded place/remove churn on one placement map; returns ops done.
+
+    The map is first filled to ~90% of its whole-segment slots, then
+    each operation either places a 1-24 segment program (5 minutes to
+    2 hours) or, when the next program would not fit or with
+    probability 0.4, removes 1-3 resident programs in one batched call
+    -- the shape of an LFU admission with its evictions.
+    """
+    rng = random.Random(seed)
+    placement = PlacementMap([SetTopBox(i, storage_bytes=storage_bytes)
+                              for i in range(n_peers)])
+    free = int(storage_bytes // segment_bytes()) * n_peers
+    resident: list = []
+    next_id = 0
+    ops = 0
+    while ops < n_ops:
+        n_segments = rng.randint(1, 24)
+        filling = free > 0.1 * n_peers * storage_bytes / segment_bytes()
+        if not filling and (n_segments > free or rng.random() < 0.4):
+            victims = [resident.pop(rng.randrange(len(resident)))
+                       for _ in range(min(len(resident), rng.randint(1, 3)))]
+            placement.remove_programs([pid for pid, _ in victims])
+            free += sum(n for _, n in victims)
+        elif n_segments <= free:
+            placement.place_program(Program(next_id, n_segments * 300.0))
+            resident.append((next_id, n_segments))
+            next_id += 1
+            free -= n_segments
+        else:
+            continue
+        ops += 1
+    return ops
+
+
 def meter_spanning(n: int) -> None:
     meter = HourlyMeter()
     for i in range(n):
@@ -479,6 +518,22 @@ def main() -> int:
                 PR1_CACHE_REFERENCE["index_requests_s"] / requests_s, 2
             ),
         }
+
+    # ---- segment placement ---------------------------------------------
+    placement_n = 20_000 if args.quick else 100_000
+    placement_s = best_of(lambda: placement_churn(placement_n))
+    report["placement"] = {
+        "peers": 1_000,
+        "storage_gb_per_peer": 10.0,
+        "ops": placement_n,
+        "churn_s": round(placement_s, 4),
+        "ops_per_s": round(placement_n / placement_s),
+        "note": (
+            "seeded place/remove churn (programs of 1-24 segments, "
+            "removals batched 1-3 per call) after a fill to ~90% of the "
+            "map's segment slots; the fill counts as ops"
+        ),
+    }
 
     # ---- end-to-end replay --------------------------------------------
     model = PowerInfoModel(n_users=users, n_programs=users // 5, days=days,

@@ -26,7 +26,8 @@ policy engine:
   :class:`~repro.cache.lfu.WindowedCounts` also remains the shared
   sliding-window count source the engine's frequency policies build on.
 * :mod:`repro.cache.segments` -- 5-minute segmentation and least-loaded
-  placement across peers, with decision-batched release
+  placement across peers through per-free-level FIFO buckets, with
+  decision-batched release
   (:meth:`~repro.cache.segments.PlacementMap.remove_programs`).
 * :mod:`repro.cache.index_server` -- the per-headend orchestrator that
   routes requests, fills segments from broadcasts, and applies

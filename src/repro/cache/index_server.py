@@ -215,35 +215,44 @@ class IndexServer:
 
         Evictions are released through one
         :meth:`~repro.cache.segments.PlacementMap.remove_programs` call
-        per decision (the placement map hoists its heap bookkeeping
-        across the whole batch) and stats are bumped once per batch --
-        a multi-victim LFU admission or an oracle recompute used to pay
-        the full per-program call chain for every delta.
+        per decision, admissions are placed one program at a time, and
+        stats are bumped once per batch: a multi-victim LFU admission or
+        an oracle recompute carries dozens of deltas.
         """
-        if change.empty:
-            return
         evicted = change.evicted
+        admitted = change.admitted
+        if not (evicted or admitted):
+            return
+        placement = self._placement
+        stored = self._stored
         if evicted:
-            self._placement.remove_programs(evicted)
-            stored = self._stored
+            placement.remove_programs(evicted)
             for program_id in evicted:
                 stored.pop(program_id, None)
             self.stats.evictions += len(evicted)
-        for program_id in change.admitted:
+        if not admitted:
+            return
+        catalog = self._catalog
+        instant_fill = self._strategy.instant_fill
+        placed = 0
+        for program_id in admitted:
+            program = catalog[program_id]
             try:
-                program = self._catalog[program_id]
-                self._placement.place_program(program)
-                if self._strategy.instant_fill:
-                    self._stored[program_id] = set(range(program.num_segments))
-                else:
-                    self._stored[program_id] = set()
-                self.stats.admissions += 1
+                placement.place_program(program)
             except PlacementError:
                 # Physical placement refused (can only happen if a caller
-                # mis-sized capacity).  Roll the membership back so the
-                # strategy's accounting matches reality.
+                # mis-sized capacity); the map is left untouched.  Roll
+                # the membership back so the strategy's accounting
+                # matches reality.
                 self.stats.placement_failures += 1
                 self._strategy.force_evict(program_id)
+                continue
+            if instant_fill:
+                stored[program_id] = set(range(program.num_segments))
+            else:
+                stored[program_id] = set()
+            placed += 1
+        self.stats.admissions += placed
 
     # ------------------------------------------------------------------
     # Segment delivery

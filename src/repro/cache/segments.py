@@ -11,7 +11,12 @@ program is located."
 Placement policy: each segment is assigned to the peer with the most
 free contributed space, which both balances storage *and* spreads a
 program's segments across many peers so concurrent viewers at different
-offsets rarely collide on the two-stream limit.
+offsets rarely collide on the two-stream limit.  Ties go to the peer
+that reached that free level first.  :class:`PlacementMap` keeps the
+peers in one FIFO bucket per free-bytes level, which makes each choice
+O(1); released peers leave their old bucket entries behind (skipped
+when popped unless the peer is back at that level), so the queue holds
+O(releases) entries and picks exactly as the max-heap it replaced.
 
 Capacity is accounted in whole segments: a peer contributing 10 GB holds
 ``floor(10 GB / segment_bytes)`` segments.  Deriving the neighborhood's
@@ -22,9 +27,8 @@ fragmentation surprises mid-simulation.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, List, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro import units
 from repro.errors import PlacementError
@@ -78,23 +82,72 @@ class PlacementMap:
 
     The index server calls :meth:`place_program` when a strategy admits a
     program (reserving space immediately -- the decision is binding) and
-    :meth:`remove_program` on eviction.  Whether a given segment's bytes
-    have actually been captured off a broadcast yet is tracked separately
-    by the index server; this map is purely *where they belong*.
+    :meth:`remove_programs` with a decision's evictions.  Whether a given
+    segment's bytes have actually been captured off a broadcast yet is
+    tracked separately by the index server; this map is purely *where
+    they belong*.
+
+    **Placement queue.**  Peers wait in FIFO buckets, one
+    :class:`~collections.deque` per free-bytes level, and ``_top`` is
+    the highest level with a non-empty bucket.  Each segment goes to
+    the head of the top bucket; the peer is then appended to the tail
+    of the bucket for its new (lower) free level.  So the roomiest peer
+    always wins, and among equally roomy peers the one that reached that
+    level first wins.  That is exactly the pop order of the ``(-free,
+    push counter, peer)`` max-heap the map used before (its counter only
+    grew, so it popped equal levels in push order), without the tuples,
+    counter or sifts.  Free levels take a handful of values (one per
+    whole segment a peer holds, per distinct storage size), so moving
+    ``_top`` down when its bucket empties is a ``max`` over a few dict
+    keys.
+
+    **Stale entries are kept.**  A release appends the peer at its new
+    level and leaves its old entry where it was, as the heap did.  When
+    an entry reaches the head of the top bucket, its peer is taken only
+    if its free space still equals that level; otherwise the peer is
+    re-appended at its current level and the next entry is tried.  An
+    old entry whose peer has since come back to that level is valid
+    again, in its old position.  Dropping or reordering those entries
+    would change which peer takes which segment, and so every later
+    delivery; ``tests/cache/test_placement_queue.py`` replays seeded
+    churn against the heap to pin this.  Queue memory therefore grows
+    with the number of releases, as the heap's did.
+
+    **Refusal before mutation.**  ``_free_slots`` counts the whole free
+    segment slots across all peers (the segments each peer's
+    :meth:`~repro.peers.settop.SetTopBox.reserve` would accept, one
+    after another).  A program needing more slots than that is refused
+    before any peer or bucket changes, so a failed call leaves later
+    placements exactly as if it had never been made.  Otherwise the
+    greedy walk cannot run out of room: the roomiest peer has a slot
+    whenever any peer has one.
     """
 
-    __slots__ = ("_boxes", "_counter", "_heap", "_assignments")
+    __slots__ = ("_segment_bytes", "_levels", "_top", "_free_slots",
+                 "_assignments")
 
     def __init__(self, boxes: Sequence[SetTopBox]) -> None:
         if not boxes:
             raise PlacementError("placement requires at least one peer")
-        self._boxes: List[SetTopBox] = list(boxes)
-        # Max-heap by free bytes with a tiebreak counter: (-free, n, box).
-        self._counter = itertools.count()
-        self._heap: List[Tuple[float, int, SetTopBox]] = [
-            (-box.free_bytes, next(self._counter), box) for box in self._boxes
-        ]
-        heapq.heapify(self._heap)
+        per_segment = segment_bytes()
+        self._segment_bytes = per_segment
+        #: free-bytes level -> peers in arrival order (stale entries kept).
+        self._levels: Dict[float, Deque[SetTopBox]] = {}
+        slots_of: Dict[Tuple[float, float], int] = {}
+        free_slots = 0
+        for box in boxes:
+            free = box.free_bytes
+            queue = self._levels.get(free)
+            if queue is None:
+                queue = self._levels[free] = deque()
+            queue.append(box)
+            key = (box.storage_bytes, box.used_bytes)
+            slots = slots_of.get(key)
+            if slots is None:
+                slots = slots_of[key] = _whole_slots(*key, per_segment)
+            free_slots += slots
+        self._top = max(self._levels)
+        self._free_slots = free_slots
         #: program_id -> tuple of boxes, one per segment index.
         self._assignments: Dict[int, Tuple[SetTopBox, ...]] = {}
 
@@ -137,55 +190,63 @@ class PlacementMap:
     def place_program(self, program: Program) -> Tuple[SetTopBox, ...]:
         """Assign every segment of ``program`` to a least-loaded peer.
 
-        All-or-nothing: either every segment is reserved or the placement
-        fails with no side effects.
+        All-or-nothing: either every segment is reserved, or the call
+        raises having changed nothing -- no peer, bucket or later
+        placement is affected.
 
         Raises
         ------
         PlacementError
-            If the program is already placed or no peer can take a
-            segment (only possible when membership capacity accounting
-            disagrees with physical capacity -- a caller bug).
+            If the program is already placed or the peers lack the free
+            segment slots for it (only possible when membership capacity
+            accounting disagrees with physical capacity -- a caller bug).
         """
-        if program.program_id in self._assignments:
-            raise PlacementError(f"program {program.program_id} already placed")
-        per_segment = segment_bytes()
+        program_id = program.program_id
+        if program_id in self._assignments:
+            raise PlacementError(f"program {program_id} already placed")
+        n_segments = program.num_segments
+        if n_segments > self._free_slots:
+            raise PlacementError(
+                f"program {program_id} needs {n_segments} segment slots, "
+                f"peers have {self._free_slots} free"
+            )
+        per_segment = self._segment_bytes
+        levels = self._levels
+        top = self._top
+        top_queue = levels[top]
         chosen: List[SetTopBox] = []
-        try:
-            for _ in range(program.num_segments):
-                box = self._pop_roomiest(per_segment)
-                box.reserve(program.program_id, per_segment)
-                chosen.append(box)
-                heapq.heappush(self._heap, (-box.free_bytes, next(self._counter), box))
-        except PlacementError:
-            for box in chosen:
-                box.release(program.program_id)
-            # Re-heapify lazily: stale entries are verified on pop.
-            raise
+        for _ in range(n_segments):
+            while True:
+                level = top
+                box = top_queue.popleft()
+                if not top_queue:
+                    del levels[level]
+                    if levels:
+                        top = max(levels)
+                        top_queue = levels[top]
+                free = box.free_bytes
+                if free == level:
+                    break
+                # Stale entry: the peer moved since it was queued here.
+                queue = levels.get(free)
+                if queue is None:
+                    queue = levels[free] = deque()
+                queue.append(box)
+                if free > top or not top_queue:
+                    top, top_queue = free, queue
+            free = box.reserve(program_id, per_segment)
+            chosen.append(box)
+            queue = levels.get(free)
+            if queue is None:
+                queue = levels[free] = deque()
+            queue.append(box)
+            if free > top or not top_queue:
+                top, top_queue = free, queue
+        self._top = top
+        self._free_slots -= n_segments
         assignment = tuple(chosen)
-        self._assignments[program.program_id] = assignment
+        self._assignments[program_id] = assignment
         return assignment
-
-    def _pop_roomiest(self, needed_bytes: float) -> SetTopBox:
-        """Pop the peer with the most free space, verifying staleness.
-
-        Heap entries carry a free-bytes snapshot; entries whose snapshot
-        disagrees with the live value are re-pushed with current data.
-        """
-        while self._heap:
-            neg_free, _, box = heapq.heappop(self._heap)
-            if -neg_free != box.free_bytes:
-                heapq.heappush(self._heap, (-box.free_bytes, next(self._counter), box))
-                continue
-            if box.free_bytes + 1e-6 < needed_bytes:
-                # Roomiest peer cannot take a segment: physically full.
-                heapq.heappush(self._heap, (neg_free, next(self._counter), box))
-                raise PlacementError(
-                    f"no peer has {needed_bytes:.0f} B free "
-                    f"(roomiest: {box.free_bytes:.0f} B)"
-                )
-            return box
-        raise PlacementError("placement heap exhausted")  # pragma: no cover
 
     def remove_program(self, program_id: int) -> None:
         """Release every reservation held for ``program_id``.
@@ -198,25 +259,52 @@ class PlacementMap:
     def remove_programs(self, program_ids) -> None:
         """Release a whole decision's evictions in one batched call.
 
-        Performs exactly the per-program release/heap-push sequence of
-        :meth:`remove_program` in order -- placement tie-breaking, and
-        therefore every downstream delivery, is bit-identical to the
-        serial calls -- but hoists the heap, counter and assignment
-        lookups out of the loop.  Multi-victim admissions and oracle
+        Programs are released in the given order and, within a program,
+        peers in the order of their first segment; each released peer is
+        appended to the bucket of its new free level (its old entry
+        stays, see the class notes).  Multi-victim admissions and oracle
         recomputes hit this with dozens of programs per decision.
         """
         assignments = self._assignments
-        heap = self._heap
-        counter = self._counter
-        heappush = heapq.heappush
+        levels = self._levels
+        top = self._top
+        released = 0
         for program_id in program_ids:
             assignment = assignments.pop(program_id, None)
             if assignment is None:
                 continue
-            # dict.fromkeys deduplicates while preserving assignment
-            # order; iterating a set here would vary with object identity
-            # hashes and break run-to-run determinism of the placement
-            # heap.
-            for box in dict.fromkeys(assignment):
-                box.release(program_id)
-                heappush(heap, (-box.free_bytes, next(counter), box))
+            released += len(assignment)
+            for box in assignment:
+                # A peer holding several segments frees them all on its
+                # first release; later ones free nothing and must not
+                # queue it again.
+                if not box.release(program_id):
+                    continue
+                free = box.free_bytes
+                queue = levels.get(free)
+                if queue is None:
+                    queue = levels[free] = deque()
+                queue.append(box)
+                if free > top:
+                    top = free
+        self._top = top
+        self._free_slots += released
+
+
+def _whole_slots(storage_bytes: float, used_bytes: float,
+                 per_segment: float) -> int:
+    """Segments a peer in this state accepts, one reservation at a time.
+
+    Jumps to two slots short of the closed-form count, then repeats
+    :meth:`~repro.peers.settop.SetTopBox.reserve`'s own comparison and
+    ``+1e-6`` tolerance for the last slots, so the count agrees with
+    what the peer will actually take.  Segment byte counts are whole
+    numbers, so the jump adds exactly what repeated reservations would,
+    and a peer returns to a state (and slot count) it held before.
+    """
+    slots = max(int((storage_bytes - used_bytes) // per_segment) - 2, 0)
+    used_bytes += slots * per_segment
+    while not per_segment > storage_bytes - used_bytes + 1e-6:
+        used_bytes += per_segment
+        slots += 1
+    return slots
