@@ -352,7 +352,7 @@ def placement_churn(n_ops: int, n_peers: int = 1_000,
             placement.remove_programs([pid for pid, _ in victims])
             free += sum(n for _, n in victims)
         elif n_segments <= free:
-            placement.place_program(Program(next_id, n_segments * 300.0))
+            placement.place_program(next_id, n_segments)
             resident.append((next_id, n_segments))
             next_id += 1
             free -= n_segments

@@ -150,8 +150,7 @@ class IndexServer:
     """
 
     __slots__ = ("neighborhood", "_boxes", "_strategy", "_placement",
-                 "_catalog", "_stored", "_segment_counts", "_lengths",
-                 "stats")
+                 "_stored", "_segment_counts", "_lengths", "stats")
 
     def __init__(
         self,
@@ -171,12 +170,11 @@ class IndexServer:
         self._boxes = boxes
         self._strategy = strategy
         self._placement = placement
-        self._catalog = catalog
         #: program_id -> set of segment indices physically captured.
         self._stored: Dict[int, Set[int]] = {}
         #: Per-program segment counts and lengths, flattened out of the
-        #: catalog once: the fill path would otherwise recompute
-        #: ``Program.num_segments`` (a divmod) per delivery.
+        #: catalog once: placement and the fill path would otherwise
+        #: recompute ``Program.num_segments`` (a divmod) per call.
         self._segment_counts: List[int] = [p.num_segments for p in catalog]
         self._lengths: List[float] = [p.length_seconds for p in catalog]
         self.stats = IndexServerStats()
@@ -232,13 +230,13 @@ class IndexServer:
             self.stats.evictions += len(evicted)
         if not admitted:
             return
-        catalog = self._catalog
+        segment_counts = self._segment_counts
         instant_fill = self._strategy.instant_fill
         placed = 0
         for program_id in admitted:
-            program = catalog[program_id]
+            n_segments = segment_counts[program_id]
             try:
-                placement.place_program(program)
+                placement.place_program(program_id, n_segments)
             except PlacementError:
                 # Physical placement refused (can only happen if a caller
                 # mis-sized capacity); the map is left untouched.  Roll
@@ -248,7 +246,7 @@ class IndexServer:
                 self._strategy.force_evict(program_id)
                 continue
             if instant_fill:
-                stored[program_id] = set(range(program.num_segments))
+                stored[program_id] = set(range(n_segments))
             else:
                 stored[program_id] = set()
             placed += 1

@@ -70,10 +70,18 @@ class WindowedCounts:
             listener(program_id)
 
     def record(self, now: float, program_id: int) -> None:
-        """Record one access at time ``now``."""
+        """Record one access at time ``now`` and notify listeners."""
+        self.record_silently(now, program_id)
+        self._notify(program_id)
+
+    def record_silently(self, now: float, program_id: int) -> None:
+        """Record one access without notifying listeners.
+
+        For a caller whose listener already learns of the access another
+        way; expiry in :meth:`advance` still notifies.
+        """
         self._events.append((now, program_id))
         self._counts[program_id] = self._counts.get(program_id, 0) + 1
-        self._notify(program_id)
 
     def advance(self, now: float) -> None:
         """Expire events older than the window relative to ``now``.

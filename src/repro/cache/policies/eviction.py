@@ -260,7 +260,10 @@ class LFUEviction(_RankedEviction):
 
     def observe(self, now: float, program_id: int) -> None:
         self._advance(now)
-        self._counts.record(now, program_id)
+        # No change notification: the engine touch()es an accessed
+        # member, which marks it dirty anyway, and _mark_dirty ignores
+        # non-members.  Expiry in _advance still notifies.
+        self._counts.record_silently(now, program_id)
         self._last_access[program_id] = now
 
     def touch(self, now: float, program_id: int) -> None:

@@ -12,11 +12,9 @@ Placement policy: each segment is assigned to the peer with the most
 free contributed space, which both balances storage *and* spreads a
 program's segments across many peers so concurrent viewers at different
 offsets rarely collide on the two-stream limit.  Ties go to the peer
-that reached that free level first.  :class:`PlacementMap` keeps the
-peers in one FIFO bucket per free-bytes level, which makes each choice
-O(1); released peers leave their old bucket entries behind (skipped
-when popped unless the peer is back at that level), so the queue holds
-O(releases) entries and picks exactly as the max-heap it replaced.
+that reached that free level first.  :class:`PlacementMap` owns the
+peers' free-space ledger and queues them in one FIFO bucket per
+free-bytes level, which picks exactly as the max-heap it replaced.
 
 Capacity is accounted in whole segments: a peer contributing 10 GB holds
 ``floor(10 GB / segment_bytes)`` segments.  Deriving the neighborhood's
@@ -28,10 +26,10 @@ fragmentation surprises mid-simulation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Sequence, Tuple
 
 from repro import units
-from repro.errors import PlacementError
+from repro.errors import CapacityError, PlacementError
 from repro.peers.settop import SetTopBox
 from repro.trace.records import Program
 
@@ -87,40 +85,44 @@ class PlacementMap:
     tracked separately by the index server; this map is purely *where
     they belong*.
 
+    **The ledger.**  The map alone accounts the peers' storage.  The
+    assignment tuples are the only record of who holds what, and each
+    peer carries one free-bytes number (``SetTopBox._free_bytes``) that
+    only this map writes.  Segment sizes are whole numbers and free
+    levels stay below 2**53, so ``level - segment_bytes`` is exact (a
+    fractional storage size keeps its fraction) and a released peer
+    returns to precisely a level it held before.
+
     **Placement queue.**  Peers wait in FIFO buckets, one
     :class:`~collections.deque` per free-bytes level, and ``_top`` is
-    the highest level with a non-empty bucket.  Each segment goes to
-    the head of the top bucket; the peer is then appended to the tail
-    of the bucket for its new (lower) free level.  So the roomiest peer
-    always wins, and among equally roomy peers the one that reached that
-    level first wins.  That is exactly the pop order of the ``(-free,
-    push counter, peer)`` max-heap the map used before (its counter only
-    grew, so it popped equal levels in push order), without the tuples,
-    counter or sifts.  Free levels take a handful of values (one per
-    whole segment a peer holds, per distinct storage size), so moving
-    ``_top`` down when its bucket empties is a ``max`` over a few dict
-    keys.
+    the highest level with a non-empty bucket.  :meth:`place_program`
+    takes a program's segments off the head of the top bucket in one
+    pass and appends each taken peer to the bucket one segment lower,
+    so the roomiest peer always wins and equally roomy peers win in the
+    order they reached that level: the pop order of the ``(-free, push
+    counter, peer)`` max-heap the map used before.  Free levels take a
+    handful of values, so moving ``_top`` down when its bucket empties
+    is a ``max`` over a few dict keys.
 
     **Stale entries are kept.**  A release appends the peer at its new
-    level and leaves its old entry where it was, as the heap did.  When
-    an entry reaches the head of the top bucket, its peer is taken only
-    if its free space still equals that level; otherwise the peer is
-    re-appended at its current level and the next entry is tried.  An
-    old entry whose peer has since come back to that level is valid
-    again, in its old position.  Dropping or reordering those entries
-    would change which peer takes which segment, and so every later
-    delivery; ``tests/cache/test_placement_queue.py`` replays seeded
-    churn against the heap to pin this.  Queue memory therefore grows
-    with the number of releases, as the heap's did.
+    level and leaves its old entry where it was, as the heap did.  An
+    entry whose peer has moved is re-appended at the peer's current
+    level when it reaches the head of the top bucket; one whose peer has
+    come back to that level is valid again, in its old position.
+    Dropping or reordering them would change which peer takes which
+    segment, and so every later delivery;
+    ``tests/cache/test_placement_queue.py`` replays seeded churn against
+    the heap to pin this.  Queue memory grows with the number of
+    releases, as the heap's did.
 
     **Refusal before mutation.**  ``_free_slots`` counts the whole free
-    segment slots across all peers (the segments each peer's
-    :meth:`~repro.peers.settop.SetTopBox.reserve` would accept, one
-    after another).  A program needing more slots than that is refused
-    before any peer or bucket changes, so a failed call leaves later
-    placements exactly as if it had never been made.  Otherwise the
-    greedy walk cannot run out of room: the roomiest peer has a slot
-    whenever any peer has one.
+    segment slots of all peers (a peer takes a segment while
+    ``segment_bytes <= free + 1e-6``).  A program needing more is
+    refused before anything changes, so a failed call leaves later
+    placements as if it had never been made; otherwise the roomiest peer
+    always has a slot.  The last, least roomy pick of each program is
+    still checked, and a peer over-committed by a broken ledger raises
+    :class:`~repro.errors.CapacityError`.
     """
 
     __slots__ = ("_segment_bytes", "_levels", "_top", "_free_slots",
@@ -133,19 +135,16 @@ class PlacementMap:
         self._segment_bytes = per_segment
         #: free-bytes level -> peers in arrival order (stale entries kept).
         self._levels: Dict[float, Deque[SetTopBox]] = {}
-        slots_of: Dict[Tuple[float, float], int] = {}
+        slots_of: Dict[float, int] = {}
         free_slots = 0
         for box in boxes:
-            free = box.free_bytes
+            free = box._free_bytes
             queue = self._levels.get(free)
             if queue is None:
                 queue = self._levels[free] = deque()
+                slots_of[free] = _whole_slots(free, per_segment)
             queue.append(box)
-            key = (box.storage_bytes, box.used_bytes)
-            slots = slots_of.get(key)
-            if slots is None:
-                slots = slots_of[key] = _whole_slots(*key, per_segment)
-            free_slots += slots
+            free_slots += slots_of[free]
         self._top = max(self._levels)
         self._free_slots = free_slots
         #: program_id -> tuple of boxes, one per segment index.
@@ -187,8 +186,9 @@ class PlacementMap:
         """
         return self._assignments.get(program_id)
 
-    def place_program(self, program: Program) -> Tuple[SetTopBox, ...]:
-        """Assign every segment of ``program`` to a least-loaded peer.
+    def place_program(self, program_id: int,
+                      n_segments: int) -> Tuple[SetTopBox, ...]:
+        """Assign each of a program's ``n_segments`` to a least-loaded peer.
 
         All-or-nothing: either every segment is reserved, or the call
         raises having changed nothing -- no peer, bucket or later
@@ -197,14 +197,17 @@ class PlacementMap:
         Raises
         ------
         PlacementError
-            If the program is already placed or the peers lack the free
-            segment slots for it (only possible when membership capacity
-            accounting disagrees with physical capacity -- a caller bug).
+            If the program is already placed, has no segments, or the
+            peers lack the free segment slots for it (only possible when
+            membership capacity accounting disagrees with physical
+            capacity -- a caller bug).
+        CapacityError
+            If a peer was over-committed (only a broken ledger can).
         """
-        program_id = program.program_id
         if program_id in self._assignments:
             raise PlacementError(f"program {program_id} already placed")
-        n_segments = program.num_segments
+        if n_segments < 1:
+            raise PlacementError(f"program {program_id} has no segments")
         if n_segments > self._free_slots:
             raise PlacementError(
                 f"program {program_id} needs {n_segments} segment slots, "
@@ -213,35 +216,44 @@ class PlacementMap:
         per_segment = self._segment_bytes
         levels = self._levels
         top = self._top
-        top_queue = levels[top]
+        queue = levels[top]
         chosen: List[SetTopBox] = []
-        for _ in range(n_segments):
-            while True:
-                level = top
-                box = top_queue.popleft()
-                if not top_queue:
-                    del levels[level]
-                    if levels:
-                        top = max(levels)
-                        top_queue = levels[top]
-                free = box.free_bytes
-                if free == level:
+        take = chosen.append
+        remaining = n_segments
+        while remaining:
+            level = top
+            lower_level = level - per_segment
+            lower = None
+            while queue:
+                box = queue.popleft()
+                free = box._free_bytes
+                if free != level:
+                    # Stale entry: the peer moved since it was queued here.
+                    moved = levels.get(free)
+                    if moved is None:
+                        moved = levels[free] = deque()
+                    moved.append(box)
+                    continue
+                if lower is None:
+                    lower = levels.get(lower_level)
+                    if lower is None:
+                        lower = levels[lower_level] = deque()
+                box._free_bytes = lower_level
+                lower.append(box)
+                take(box)
+                remaining -= 1
+                if not remaining:
                     break
-                # Stale entry: the peer moved since it was queued here.
-                queue = levels.get(free)
-                if queue is None:
-                    queue = levels[free] = deque()
-                queue.append(box)
-                if free > top or not top_queue:
-                    top, top_queue = free, queue
-            free = box.reserve(program_id, per_segment)
-            chosen.append(box)
-            queue = levels.get(free)
-            if queue is None:
-                queue = levels[free] = deque()
-            queue.append(box)
-            if free > top or not top_queue:
-                top, top_queue = free, queue
+            if not queue:
+                del levels[level]
+                top = max(levels)
+                queue = levels[top]
+        if per_segment > level + 1e-6:
+            raise CapacityError(
+                f"peer {chosen[-1].box_id} over-committed by program "
+                f"{program_id}: took a {per_segment:.0f} B segment with "
+                f"{level:.0f} B free"
+            )
         self._top = top
         self._free_slots -= n_segments
         assignment = tuple(chosen)
@@ -256,17 +268,19 @@ class PlacementMap:
         """
         self.remove_programs((program_id,))
 
-    def remove_programs(self, program_ids) -> None:
+    def remove_programs(self, program_ids: Iterable[int]) -> None:
         """Release a whole decision's evictions in one batched call.
 
-        Programs are released in the given order and, within a program,
-        peers in the order of their first segment; each released peer is
-        appended to the bucket of its new free level (its old entry
-        stays, see the class notes).  Multi-victim admissions and oracle
-        recomputes hit this with dozens of programs per decision.
+        Programs are released in the given order.  Within a program each
+        distinct peer is freed once, by its count of segments in the
+        assignment, and appended to the bucket of its new free level in
+        the order of its first segment (its old entry stays, see the
+        class notes).  Multi-victim admissions and oracle recomputes hit
+        this with dozens of programs per decision.
         """
         assignments = self._assignments
         levels = self._levels
+        per_segment = self._segment_bytes
         top = self._top
         released = 0
         for program_id in program_ids:
@@ -274,13 +288,17 @@ class PlacementMap:
             if assignment is None:
                 continue
             released += len(assignment)
-            for box in assignment:
-                # A peer holding several segments frees them all on its
-                # first release; later ones free nothing and must not
-                # queue it again.
-                if not box.release(program_id):
-                    continue
-                free = box.free_bytes
+            peers = dict.fromkeys(assignment)
+            # A peer holds several segments only when the program has
+            # more segments than there were roomy peers; count them then.
+            shared = len(peers) != len(assignment)
+            for box in peers:
+                if shared:
+                    free = (box._free_bytes
+                            + assignment.count(box) * per_segment)
+                else:
+                    free = box._free_bytes + per_segment
+                box._free_bytes = free
                 queue = levels.get(free)
                 if queue is None:
                     queue = levels[free] = deque()
@@ -291,20 +309,20 @@ class PlacementMap:
         self._free_slots += released
 
 
-def _whole_slots(storage_bytes: float, used_bytes: float,
-                 per_segment: float) -> int:
-    """Segments a peer in this state accepts, one reservation at a time.
+def _whole_slots(free_bytes: float, per_segment: float) -> int:
+    """Segments a peer with ``free_bytes`` left accepts, one at a time.
 
-    Jumps to two slots short of the closed-form count, then repeats
-    :meth:`~repro.peers.settop.SetTopBox.reserve`'s own comparison and
-    ``+1e-6`` tolerance for the last slots, so the count agrees with
-    what the peer will actually take.  Segment byte counts are whole
-    numbers, so the jump adds exactly what repeated reservations would,
-    and a peer returns to a state (and slot count) it held before.
+    A peer takes a segment while ``per_segment <= free + 1e-6``.  Jumps
+    to two slots short of the closed-form count, then repeats that
+    comparison for the last slots, so the count agrees with what the
+    placement walk will actually take.  Segment byte counts are whole
+    numbers, so the jump subtracts exactly what repeated placements
+    would, and a peer returns to a level (and slot count) it held
+    before.
     """
-    slots = max(int((storage_bytes - used_bytes) // per_segment) - 2, 0)
-    used_bytes += slots * per_segment
-    while not per_segment > storage_bytes - used_bytes + 1e-6:
-        used_bytes += per_segment
+    slots = max(int(free_bytes // per_segment) - 2, 0)
+    free_bytes -= slots * per_segment
+    while not per_segment > free_bytes + 1e-6:
+        free_bytes -= per_segment
         slots += 1
     return slots

@@ -167,7 +167,7 @@ class CableVoDSystem:
                 capacity_bytes=usable_capacity_bytes(
                     config.per_peer_storage_bytes, neighborhood.size
                 ),
-                footprint_of=lambda pid, _f=footprints: _f[pid],
+                footprint_of=footprints.__getitem__,
             )
             initial = strategy.bind(context)
             server = IndexServer(neighborhood, boxes, strategy, placement, catalog)

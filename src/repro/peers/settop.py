@@ -14,22 +14,19 @@ Stream occupancy is tracked as a list of lease end-times purged lazily
 against the querying clock -- cheaper than scheduling a release event per
 segment, and exact, because occupancy only matters at the instant a new
 request arrives.
+
+Disk space is *not* accounted here: the neighborhood's
+:class:`~repro.cache.segments.PlacementMap` owns every peer's free-space
+ledger and records who holds which segment.  A box only exposes its
+current usage as read-only views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro import units
 from repro.errors import CapacityError
-
-
-@dataclass(frozen=True)
-class StreamLease:
-    """A claim on one of the box's logical channels until ``end_time``."""
-
-    end_time: float
 
 
 class SetTopBox:
@@ -44,10 +41,14 @@ class SetTopBox:
         paper's 10 GB ceiling).
     max_streams:
         Concurrent logical channels (default 2, per the paper).
+
+    ``_free_bytes`` is the box's entry in its placement map's ledger: it
+    starts at ``storage_bytes`` and only
+    :class:`~repro.cache.segments.PlacementMap` writes it.
     """
 
-    __slots__ = ("box_id", "storage_bytes", "max_streams", "_used_bytes",
-                 "_stored", "_lease_ends")
+    __slots__ = ("box_id", "storage_bytes", "max_streams", "_free_bytes",
+                 "_lease_ends")
 
     def __init__(
         self,
@@ -66,70 +67,22 @@ class SetTopBox:
         self.box_id = box_id
         self.storage_bytes = float(storage_bytes)
         self.max_streams = int(max_streams)
-        self._used_bytes = 0.0
-        #: program_id -> bytes reserved on this box for that program.
-        self._stored: Dict[int, float] = {}
+        self._free_bytes = self.storage_bytes
         self._lease_ends: List[float] = []
 
     # ------------------------------------------------------------------
-    # Storage accounting
+    # Storage views (the placement map keeps the ledger)
     # ------------------------------------------------------------------
 
     @property
     def used_bytes(self) -> float:
-        """Bytes currently reserved on this box."""
-        return self._used_bytes
+        """Bytes the placement map has reserved on this box."""
+        return self.storage_bytes - self._free_bytes
 
     @property
     def free_bytes(self) -> float:
         """Remaining contributable disk space."""
-        return self.storage_bytes - self._used_bytes
-
-    def stored_bytes_for(self, program_id: int) -> float:
-        """Bytes this box holds for ``program_id`` (0.0 if none)."""
-        return self._stored.get(program_id, 0.0)
-
-    def reserve(self, program_id: int, n_bytes: float) -> float:
-        """Reserve ``n_bytes`` for segments of ``program_id``.
-
-        Returns the free bytes left afterwards, which the placement map
-        queues the box under -- one call per placed segment instead of a
-        reserve plus a :attr:`free_bytes` read.
-
-        Raises
-        ------
-        CapacityError
-            If the reservation would exceed the contributed disk space.
-            The index server must never over-commit a peer; treating it
-            as an error (rather than clamping) surfaces placement bugs.
-        """
-        if n_bytes <= 0:
-            raise CapacityError(
-                f"box {self.box_id}: reservation must be positive, got {n_bytes}"
-            )
-        storage = self.storage_bytes
-        used = self._used_bytes
-        if n_bytes > storage - used + 1e-6:
-            raise CapacityError(
-                f"box {self.box_id}: cannot reserve {n_bytes:.0f} B with only "
-                f"{storage - used:.0f} B free of {storage:.0f} B"
-            )
-        used += n_bytes
-        self._used_bytes = used
-        stored = self._stored
-        stored[program_id] = stored.get(program_id, 0.0) + n_bytes
-        return storage - used
-
-    def release(self, program_id: int) -> float:
-        """Free everything stored for ``program_id``; returns bytes freed."""
-        freed = self._stored.pop(program_id, 0.0)
-        self._used_bytes -= freed
-        if self._used_bytes < 0:  # pragma: no cover - accounting invariant
-            raise CapacityError(
-                f"box {self.box_id}: negative used bytes after releasing "
-                f"program {program_id}"
-            )
-        return freed
+        return self._free_bytes
 
     # ------------------------------------------------------------------
     # Stream (channel) accounting
@@ -195,9 +148,7 @@ class SetTopBox:
                     enforce_limit: bool = True) -> float:
         """Occupy one channel for ``duration_seconds`` starting at ``now``.
 
-        Returns the lease end time.  (Callers never retained the old
-        :class:`StreamLease` wrapper, and allocating one per delivery
-        showed up in profiles.)
+        Returns the lease end time.
 
         Parameters
         ----------
@@ -223,6 +174,6 @@ class SetTopBox:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"SetTopBox(id={self.box_id}, used={self._used_bytes / 1e9:.2f}GB"
+            f"SetTopBox(id={self.box_id}, used={self.used_bytes / 1e9:.2f}GB"
             f"/{self.storage_bytes / 1e9:.0f}GB, leases={len(self._lease_ends)})"
         )

@@ -58,22 +58,20 @@ def boxes_with_segments(n_boxes, segments_each):
 class TestPlacementMap:
     def test_places_all_segments(self):
         placement = PlacementMap(boxes_with_segments(4, 10))
-        program = Program(0, 100 * 60.0)  # 20 segments
-        assignment = placement.place_program(program)
+        assignment = placement.place_program(0, 20)
         assert len(assignment) == 20
         assert placement.is_placed(0)
 
     def test_balances_across_peers(self):
         boxes = boxes_with_segments(4, 10)
         placement = PlacementMap(boxes)
-        placement.place_program(Program(0, 100 * 60.0))  # 20 segments
+        placement.place_program(0, 20)
         loads = [box.used_bytes / segment_bytes() for box in boxes]
         assert max(loads) - min(loads) <= 1.0
 
     def test_holder_lookup(self):
         placement = PlacementMap(boxes_with_segments(2, 10))
-        program = Program(0, 600.0)
-        assignment = placement.place_program(program)
+        assignment = placement.place_program(0, 2)
         assert placement.holder_of(0, 0) is assignment[0]
         assert placement.holder_of(0, 1) is assignment[1]
 
@@ -84,20 +82,20 @@ class TestPlacementMap:
 
     def test_holder_of_bad_index_raises(self):
         placement = PlacementMap(boxes_with_segments(1, 10))
-        placement.place_program(Program(0, 600.0))
+        placement.place_program(0, 2)
         with pytest.raises(PlacementError):
             placement.holder_of(0, 5)
 
     def test_double_place_rejected(self):
         placement = PlacementMap(boxes_with_segments(2, 10))
-        placement.place_program(Program(0, 600.0))
+        placement.place_program(0, 2)
         with pytest.raises(PlacementError):
-            placement.place_program(Program(0, 600.0))
+            placement.place_program(0, 2)
 
     def test_remove_frees_space(self):
         boxes = boxes_with_segments(2, 3)
         placement = PlacementMap(boxes)
-        placement.place_program(Program(0, 1500.0))  # 5 of 6 slots
+        placement.place_program(0, 5)  # 5 of 6 slots
         placement.remove_program(0)
         assert all(box.used_bytes == 0.0 for box in boxes)
         assert not placement.is_placed(0)
@@ -110,7 +108,7 @@ class TestPlacementMap:
         boxes = boxes_with_segments(2, 2)  # 4 slots total
         placement = PlacementMap(boxes)
         with pytest.raises(PlacementError):
-            placement.place_program(Program(0, 1500.0))  # needs 5
+            placement.place_program(0, 5)
         assert all(box.used_bytes == 0.0 for box in boxes)
         assert not placement.is_placed(0)
 
@@ -118,18 +116,18 @@ class TestPlacementMap:
         boxes = boxes_with_segments(2, 2)
         placement = PlacementMap(boxes)
         with pytest.raises(PlacementError):
-            placement.place_program(Program(0, 1500.0))
-        placement.place_program(Program(1, 1200.0))  # 4 segments fit
+            placement.place_program(0, 5)
+        placement.place_program(1, 4)  # 4 segments fit
         assert placement.is_placed(1)
 
     def test_fills_to_exact_capacity(self):
         boxes = boxes_with_segments(3, 2)  # 6 slots
         placement = PlacementMap(boxes)
-        placement.place_program(Program(0, 900.0))   # 3
-        placement.place_program(Program(1, 900.0))   # 3
+        placement.place_program(0, 3)
+        placement.place_program(1, 3)
         assert placement.placed_programs == 2
         with pytest.raises(PlacementError):
-            placement.place_program(Program(2, 300.0))
+            placement.place_program(2, 1)
 
     def test_empty_peer_list_rejected(self):
         with pytest.raises(PlacementError):

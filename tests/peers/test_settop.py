@@ -3,8 +3,11 @@
 import pytest
 
 from repro import units
+from repro.cache.segments import PlacementMap, segment_bytes
 from repro.errors import CapacityError
 from repro.peers.settop import SetTopBox
+
+SEGMENT = segment_bytes()
 
 
 class TestConstruction:
@@ -23,45 +26,20 @@ class TestConstruction:
 
 
 class TestStorage:
+    """The box's read-only storage views; the placement map keeps the
+    ledger (its accounting is tested in tests/cache/test_placement_queue.py)."""
+
     def test_reserve_and_free_accounting(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(7, 400.0)
-        assert box.used_bytes == 400.0
-        assert box.free_bytes == 600.0
-        assert box.stored_bytes_for(7) == 400.0
-
-    def test_multiple_reservations_same_program_accumulate(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(7, 300.0)
-        box.reserve(7, 300.0)
-        assert box.stored_bytes_for(7) == 600.0
-
-    def test_release_frees_everything_for_program(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(7, 300.0)
-        box.reserve(8, 200.0)
-        assert box.release(7) == 300.0
-        assert box.used_bytes == 200.0
-        assert box.stored_bytes_for(7) == 0.0
-
-    def test_release_unknown_program_is_noop(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        assert box.release(99) == 0.0
-
-    def test_overcommit_rejected(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(1, 900.0)
-        with pytest.raises(CapacityError):
-            box.reserve(2, 200.0)
+        box = SetTopBox(0, storage_bytes=3 * SEGMENT)
+        assert (box.used_bytes, box.free_bytes) == (0.0, 3 * SEGMENT)
+        PlacementMap([box]).place_program(7, 1)
+        assert box.used_bytes == SEGMENT
+        assert box.free_bytes == 2 * SEGMENT
 
     def test_exact_fill_allowed(self):
-        box = SetTopBox(0, storage_bytes=1000.0)
-        box.reserve(1, 1000.0)
+        box = SetTopBox(0, storage_bytes=2 * SEGMENT)
+        PlacementMap([box]).place_program(1, 2)
         assert box.free_bytes == 0.0
-
-    def test_nonpositive_reservation_rejected(self):
-        with pytest.raises(CapacityError):
-            SetTopBox(0).reserve(1, 0.0)
 
 
 class TestStreams:
